@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -229,12 +230,18 @@ func BenchmarkHTTPBatchVsSingle(b *testing.B) {
 	}
 	batch.WriteString(`]}`)
 
+	// The body is drained before it is closed so the client reuses its
+	// keep-alive connection; otherwise every request dials a new one and
+	// the single-query series measures TCP set-up.
 	post := func(path, body string) error {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("status %d", resp.StatusCode)
 		}

@@ -108,11 +108,6 @@ type Options struct {
 	// pushdown, projection pruning) in the operator core. Rewrites never
 	// change answers, only compilation cost, so they are on by default.
 	DisableRewrites bool
-	// DisableBatch turns off the vectorized batch engine, restoring the
-	// tuple-at-a-time iterator operators. The batch path is byte-identical
-	// to the iterator path (same answers, same plans modulo the "batch-"
-	// operator prefix), only faster; this is a debugging aid.
-	DisableBatch bool
 	// Obs, when non-nil, turns on observability: every Execute records a
 	// span tree (snapshot, parse, compile with per-pipeline children,
 	// marginals), query latencies land in cold/warm histograms, the
@@ -1031,7 +1026,6 @@ func (e *Engine) algebraOptions() ctable.Options {
 	return ctable.Options{
 		Simplify: true,
 		Rewrite:  !e.opts.DisableRewrites,
-		NoBatch:  e.opts.DisableBatch,
 		Workers:  e.opts.Workers,
 		Pool:     e.execPool,
 	}

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,43 +9,63 @@ import (
 	"uncertaindb/internal/condition"
 	"uncertaindb/internal/ctable"
 	"uncertaindb/internal/exec"
+	"uncertaindb/internal/pctable"
+	"uncertaindb/internal/probcalc"
 	"uncertaindb/internal/ra"
 	"uncertaindb/internal/value"
 	"uncertaindb/internal/workload"
 )
 
-// The frozen-twin property of the batch engine: on randomized multi-table
-// environments and queries, the vectorized batch path produces exactly the
-// iterator path's answer — same rows, same condition syntax, same order —
-// across the full option grid (simplify × rewrite × hash) and for both a
-// sequential and a parallel worker count. Byte-identity is what makes
-// batch-path determinism structural rather than probabilistic.
-func TestBatchMatchesTupleByteIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(131))
-		for trial := 0; trial < 30; trial++ {
-			env := ctable.Env{
-				"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
-				"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
+// Off the byte-identical cell (rewrites off, hash path off, pinned by
+// TestCoreMatchesEagerSyntax), the operator core is checked against the
+// eager evaluator semantically: on randomized multi-table environments and
+// queries, across simplify × the other rewrite/hash cells, the answer is
+// byte-identical at workers=1 and workers=4 and represents the same
+// incomplete database (Mod) as the eager answer.
+func TestBatchWorkersMatchEagerMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	for trial := 0; trial < 30; trial++ {
+		env := ctable.Env{
+			"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
+			"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
+		}
+		q := randomQuery(rng, 2, 3)
+		for _, simplify := range []bool{true, false} {
+			eager, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: simplify})
+			if err != nil {
+				t.Fatalf("trial %d: eager: %v", trial, err)
 			}
-			q := randomQuery(rng, 2, 3)
-			for _, simplify := range []bool{true, false} {
-				for _, rewrite := range []bool{false, true} {
-					for _, hash := range []bool{true, false} {
-						opts := ctable.Options{Simplify: simplify, Rewrite: rewrite, NoHash: !hash, Workers: workers}
-						batch, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
-						if err != nil {
-							t.Fatalf("trial %d: batch: %v", trial, err)
-						}
-						opts.NoBatch = true
-						tuple, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
-						if err != nil {
-							t.Fatalf("trial %d: tuple: %v", trial, err)
-						}
-						if batch.String() != tuple.String() {
-							t.Fatalf("trial %d (simplify=%v rewrite=%v hash=%v workers=%d): batch and tuple answers differ for %s\nbatch:\n%s\ntuple:\n%s",
-								trial, simplify, rewrite, hash, workers, q, batch, tuple)
-						}
+			want, err := eager.Mod()
+			if err != nil {
+				t.Fatalf("trial %d: Mod(eager): %v", trial, err)
+			}
+			for _, rewrite := range []bool{false, true} {
+				for _, hash := range []bool{false, true} {
+					if !rewrite && !hash {
+						continue
+					}
+					cell := fmt.Sprintf("simplify=%v rewrite=%v hash=%v", simplify, rewrite, hash)
+					opts := ctable.Options{Simplify: simplify, Rewrite: rewrite, NoHash: !hash, Workers: 1}
+					seq, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
+					if err != nil {
+						t.Fatalf("trial %d (%s): workers=1: %v", trial, cell, err)
+					}
+					opts.Workers = 4
+					par, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
+					if err != nil {
+						t.Fatalf("trial %d (%s): workers=4: %v", trial, cell, err)
+					}
+					if seq.String() != par.String() {
+						t.Fatalf("trial %d (%s): workers=1 and workers=4 answers differ for %s\nworkers=1:\n%s\nworkers=4:\n%s",
+							trial, cell, q, seq, par)
+					}
+					got, err := seq.Mod()
+					if err != nil {
+						t.Fatalf("trial %d (%s): Mod: %v", trial, cell, err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("trial %d (%s): answer Mod differs from eager for %s\ncore:\n%s\neager:\n%s",
+							trial, cell, q, seq, eager)
 					}
 				}
 			}
@@ -53,9 +74,11 @@ func TestBatchMatchesTupleByteIdentical(t *testing.T) {
 }
 
 // Inputs larger than one morsel exercise the parallel driver proper: the
-// E15/E16 equi-join workload at 1500 rows per side splits into two morsels,
-// and a projection on top adds a cross-morsel merge. Every worker count must
-// produce the byte-identical answer, which must also equal the tuple path's.
+// E15/E16 equi-join workload at 1500 rows per side splits into several
+// morsels, and a projection on top adds a cross-morsel merge. Every worker
+// count must produce the byte-identical answer. The eager evaluator's
+// nested loop is quadratic, so it checks a 300-row instance (two morsels
+// per side) of the same query shape.
 func TestBatchMultiMorselDeterministic(t *testing.T) {
 	env, join := workload.EquiJoin(1500, 8)
 	q := ra.Project([]int{0, 3}, join)
@@ -75,14 +98,82 @@ func TestBatchMultiMorselDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d produced a different answer than workers=1", workers)
 		}
 	}
-	tuple, err := ctable.EvalQueryEnvWithOptions(q, env,
-		ctable.Options{Simplify: true, Rewrite: true, NoBatch: true})
+
+	env, join = workload.EquiJoin(300, 2)
+	q = ra.Project([]int{0, 3}, join)
+	eager, err := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tuple.String() != want {
-		t.Fatal("batch answer differs from the tuple-at-a-time answer")
+	for _, workers := range []int{1, 8} {
+		res, err := ctable.EvalQueryEnvWithOptions(q, env,
+			ctable.Options{Simplify: true, Rewrite: true, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		assertMatchesEager(t, fmt.Sprintf("workers=%d", workers), res, eager)
 	}
+}
+
+// assertMatchesEager checks a hash-path answer against the eager answer to
+// the same query: the answer must consist of exactly the eager rows whose
+// condition is not the constant false (as a multiset — projection groups
+// may surface in another order), and every possible tuple must have the
+// same exact big.Rat marginal. A constant-false row adds a false disjunct
+// to every lineage it enters, so the eager marginals are computed without
+// those rows.
+func assertMatchesEager(t *testing.T, label string, got, eager *ctable.CTable) {
+	t.Helper()
+	kept := ctable.New(eager.Arity())
+	eager.EachDomain(func(x condition.Variable, d *value.Domain) { kept.SetDomain(string(x), d) })
+	count := make(map[string]int)
+	for _, r := range eager.Rows() {
+		if _, isFalse := r.Cond.(condition.FalseCond); !isFalse {
+			kept.AddRow(r.Terms, r.Cond)
+			count[r.String()]++
+		}
+	}
+	for _, r := range got.Rows() {
+		count[r.String()]--
+	}
+	for row, n := range count {
+		if n != 0 {
+			t.Fatalf("%s: row %s appears %d more times in the eager answer than in the batch answer", label, row, n)
+		}
+	}
+	gotRats, wantRats := exactMarginals(t, got), exactMarginals(t, kept)
+	if len(gotRats) != len(wantRats) {
+		t.Fatalf("%s: %d possible tuples, eager has %d", label, len(gotRats), len(wantRats))
+	}
+	for tp, want := range wantRats {
+		if gotRats[tp] != want {
+			t.Fatalf("%s: tuple %s: marginal %s, eager %s", label, tp, gotRats[tp], want)
+		}
+	}
+}
+
+// exactMarginals returns the exact marginal of every possible tuple of an
+// answer under uniform variable distributions, keyed by tuple.
+func exactMarginals(t *testing.T, res *ctable.CTable) map[string]string {
+	t.Helper()
+	pc, err := pctable.UniformPCTable(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := probcalc.NewExact(pc)
+	possible, err := pc.PossibleTuples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rats := make(map[string]string, len(possible))
+	for _, tp := range possible {
+		rat, err := exact.ProbabilityRat(pc.Lineage(tp))
+		if err != nil {
+			t.Fatalf("marginal of %s: %v", tp, err)
+		}
+		rats[tp.String()] = rat.RatString()
+	}
+	return rats
 }
 
 // A shared worker pool bounds the extra goroutines across evaluations
@@ -109,39 +200,27 @@ func TestBatchSharedPoolDeterministic(t *testing.T) {
 	}
 }
 
-// The batch operators count exactly what the iterator operators count (rows
-// in/out, probes, residual hits, join strategy), and additionally report the
-// work units of the vectorized driver (batches, morsels). Totals must not
-// depend on the worker count.
+// The batch operators count the rows in/out, probes, residual hits and join
+// strategy the removed tuple-at-a-time engine counted on the same plan,
+// plus the work units of the vectorized driver (batches, morsels). Totals
+// must not depend on the worker count.
 func TestBatchCountersMatchTuple(t *testing.T) {
 	env := joinTables()
-	var tuple exec.OpStats
-	if _, err := ctable.EvalQueryEnvWithOptions(equiJoinQuery, env,
-		ctable.Options{Simplify: true, NoBatch: true, Stats: &tuple}); err != nil {
-		t.Fatal(err)
-	}
-	if tuple.Batches != 0 || tuple.Morsels != 0 {
-		t.Errorf("tuple path counted batch work: %+v", tuple)
-	}
+	want := exec.OpStats{RowsIn: 10, RowsOut: 12, HashJoins: 1, HashProbes: 4, ResidualHits: 9, Batches: 1, Morsels: 1}
 	for _, workers := range []int{1, 4} {
-		var batch exec.OpStats
+		var got exec.OpStats
 		if _, err := ctable.EvalQueryEnvWithOptions(equiJoinQuery, env,
-			ctable.Options{Simplify: true, Workers: workers, Stats: &batch}); err != nil {
+			ctable.Options{Simplify: true, Workers: workers, Stats: &got}); err != nil {
 			t.Fatal(err)
 		}
-		shared := batch
-		shared.Batches, shared.Morsels = 0, 0
-		if shared != tuple {
-			t.Errorf("workers=%d: batch counters %+v differ from tuple counters %+v", workers, shared, tuple)
-		}
-		if batch.Batches == 0 || batch.Morsels == 0 {
-			t.Errorf("workers=%d: batch/morsel counters empty: %+v", workers, batch)
+		if got != want {
+			t.Errorf("workers=%d: counters %+v, want %+v", workers, got, want)
 		}
 	}
 }
 
-// Errors surface identically on both engines: an ordering comparison applied
-// to a variable term fails with the same message.
+// Errors surface as the eager evaluator reports them: an ordering
+// comparison applied to a variable term fails with the same message.
 func TestBatchErrorParity(t *testing.T) {
 	tab := ctable.New(1)
 	tab.SetDomain("x", value.IntRange(1, 3))
@@ -149,20 +228,19 @@ func TestBatchErrorParity(t *testing.T) {
 	q := ra.Select(ra.Cmp{Left: ra.Col(0), Op: ra.OpLt, Right: ra.ConstInt(2)}, ra.Rel("T"))
 	env := ctable.Env{"T": tab}
 	_, batchErr := ctable.EvalQueryEnvWithOptions(q, env, ctable.Options{Simplify: true})
-	_, tupleErr := ctable.EvalQueryEnvWithOptions(q, env, ctable.Options{Simplify: true, NoBatch: true})
-	if batchErr == nil || tupleErr == nil {
-		t.Fatalf("expected errors, got batch=%v tuple=%v", batchErr, tupleErr)
+	_, eagerErr := ctable.EvalQueryEnvEager(q, env, ctable.Options{Simplify: true})
+	if batchErr == nil || eagerErr == nil {
+		t.Fatalf("expected errors, got batch=%v eager=%v", batchErr, eagerErr)
 	}
-	if batchErr.Error() != tupleErr.Error() {
-		t.Errorf("error mismatch:\nbatch: %v\ntuple: %v", batchErr, tupleErr)
+	if batchErr.Error() != eagerErr.Error() {
+		t.Errorf("error mismatch:\nbatch: %v\neager: %v", batchErr, eagerErr)
 	}
 	if !strings.Contains(batchErr.Error(), "ordering comparison") {
 		t.Errorf("unexpected error: %v", batchErr)
 	}
 }
 
-// Explain marks the operators of the default (batch) engine and drops the
-// prefix for the frozen tuple twin.
+// Explain marks every operator with the batch engine's "batch-" prefix.
 func TestExplainBatchPrefix(t *testing.T) {
 	env := joinTables().ExecEnv()
 	plan, err := exec.Explain(equiJoinQuery, env, exec.Options{Simplify: true, Rewrite: true})
@@ -171,13 +249,6 @@ func TestExplainBatchPrefix(t *testing.T) {
 	}
 	if !strings.Contains(plan, "batch-hash-join[$1=$1]") || !strings.Contains(plan, "batch-scan(R)") {
 		t.Errorf("batch plan missing batch operators:\n%s", plan)
-	}
-	plan, err = exec.Explain(equiJoinQuery, env, exec.Options{Simplify: true, Rewrite: true, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "batch-") {
-		t.Errorf("NoBatch plan still marked batch:\n%s", plan)
 	}
 }
 

@@ -110,31 +110,40 @@ func randomQuery(rng *rand.Rand, arity, depth int) ra.Query {
 
 // Property: with plan rewriting disabled and the physical hash operators
 // off, the operator core reproduces the frozen eager evaluator byte for
-// byte — same rows, same condition syntax, same domains. (The hash path is
-// Mod- and marginal-identical but not byte-identical: it never emits rows
-// whose condition is the constant false. TestHashPathPreservesMod and the
-// top-level equivalence grid cover it.)
+// byte — same rows, same condition syntax, same domains — with and without
+// simplification, sequentially and morsel-parallel. (The hash path is Mod-
+// and marginal-identical but not byte-identical: it never emits rows whose
+// condition is the constant false. TestBatchWorkersMatchEagerMod,
+// TestHashPathPreservesMod and the top-level equivalence grid cover it.)
 func TestCoreMatchesEagerSyntax(t *testing.T) {
-	for _, simplify := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 60; trial++ {
-			env := ctable.Env{
-				"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
-				"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
-			}
-			q := randomQuery(rng, 2, 3)
-			opts := ctable.Options{Simplify: simplify, Rewrite: false, NoHash: true}
-			got, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
-			if err != nil {
-				t.Fatalf("trial %d: core: %v", trial, err)
-			}
-			want, err := ctable.EvalQueryEnvEager(q, env, opts)
-			if err != nil {
-				t.Fatalf("trial %d: eager: %v", trial, err)
-			}
-			if got.String() != want.String() {
-				t.Fatalf("trial %d (simplify=%v): core and eager answers differ for %s\ncore:\n%s\neager:\n%s",
-					trial, simplify, q, got, want)
+	inputs := []struct {
+		seed   int64
+		trials int
+	}{{7, 60}, {131, 30}}
+	for _, in := range inputs {
+		for _, workers := range []int{1, 4} {
+			for _, simplify := range []bool{true, false} {
+				rng := rand.New(rand.NewSource(in.seed))
+				for trial := 0; trial < in.trials; trial++ {
+					env := ctable.Env{
+						"A": randomCTable(rng, 2, 3, []string{"x", "y"}),
+						"B": randomCTable(rng, 2, 2, []string{"y", "z"}),
+					}
+					q := randomQuery(rng, 2, 3)
+					opts := ctable.Options{Simplify: simplify, Rewrite: false, NoHash: true, Workers: workers}
+					got, err := ctable.EvalQueryEnvWithOptions(q, env, opts)
+					if err != nil {
+						t.Fatalf("seed %d trial %d: core: %v", in.seed, trial, err)
+					}
+					want, err := ctable.EvalQueryEnvEager(q, env, opts)
+					if err != nil {
+						t.Fatalf("seed %d trial %d: eager: %v", in.seed, trial, err)
+					}
+					if got.String() != want.String() {
+						t.Fatalf("seed %d trial %d (simplify=%v workers=%d): core and eager answers differ for %s\ncore:\n%s\neager:\n%s",
+							in.seed, trial, simplify, workers, q, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -241,32 +250,18 @@ func TestRewriteShapes(t *testing.T) {
 	}
 }
 
-// The iterator protocol streams non-blocking operators: a selection over a
-// base scan yields rows one at a time without materializing.
-func TestIteratorStreams(t *testing.T) {
+// σ̄ keeps every row symbolically: a selection over a base scan strengthens
+// each row's condition and drops none, even the rows it makes false.
+func TestSelectKeepsEveryRow(t *testing.T) {
 	tab := ctable.New(1)
 	tab.AddRow([]condition.Term{condition.ConstInt(1)}, nil)
 	tab.AddRow([]condition.Term{condition.ConstInt(2)}, nil)
-	it, err := exec.Build(ra.Select(ra.Eq(ra.Col(0), ra.ConstInt(2)), ra.Rel("T")),
+	res, err := exec.Run(ra.Select(ra.Eq(ra.Col(0), ra.ConstInt(2)), ra.Rel("T")),
 		exec.Env{"T": tab}, exec.Options{Simplify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var rows []exec.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, r)
-	}
+	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("selection keeps every row symbolically, got %d", len(rows))
 	}

@@ -9,8 +9,8 @@ package uncertaindb
 // evaluation over the shadow state, and the patched catalog's canonical
 // table encodings must equal the shadow's to the byte. The hash-path axis of
 // the plan grid lives below the engine (exec options) and is covered by the
-// operator-core grid test in equivalence_test.go; the engine grid here is
-// rewrites × batch.
+// operator-core grid test in equivalence_test.go; the engine axis here is
+// rewrites off/on.
 
 import (
 	"flag"
@@ -261,9 +261,9 @@ func assertMatchesExact(t *testing.T, res *engine.Result, rats map[string]string
 }
 
 // TestPatchStreamEquivalence is the randomized acceptance property: for
-// every prefix of a random patch stream, across the rewrites × batch engine
-// grid, the maintained engines, a fresh recompile, a follower tailing the
-// leader's change feed, and the eager shadow evaluation all agree exactly.
+// every prefix of a random patch stream, with rewrites off and on, the
+// maintained engines, a fresh recompile, a follower tailing the leader's
+// change feed, and the eager shadow evaluation all agree exactly.
 func TestPatchStreamEquivalence(t *testing.T) {
 	type cell struct {
 		opts engine.Options
@@ -274,10 +274,8 @@ func TestPatchStreamEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			var cells []cell
 			for _, rw := range []bool{false, true} {
-				for _, batch := range []bool{false, true} {
-					opts := engine.Options{DisableRewrites: rw, DisableBatch: batch}
-					cells = append(cells, cell{opts, newMaintEngine(t, opts)})
-				}
+				opts := engine.Options{DisableRewrites: rw}
+				cells = append(cells, cell{opts, newMaintEngine(t, opts)})
 			}
 			leader := cells[0].e
 
@@ -354,7 +352,7 @@ func TestPatchStreamEquivalence(t *testing.T) {
 					rats := exactAnswerRats(t, q, shadow)
 					var leaderRes *engine.Result
 					for i, c := range cells {
-						label := fmt.Sprintf("step %d cell rw=%v batch=%v", step, c.opts.DisableRewrites, c.opts.DisableBatch)
+						label := fmt.Sprintf("step %d cell rw=%v", step, c.opts.DisableRewrites)
 						res := assertMaintainedEqualsFresh(t, c.e, c.opts, engine.Request{Query: q}, label)
 						assertMatchesExact(t, res, rats, label, q)
 						if i == 0 {
@@ -372,10 +370,10 @@ func TestPatchStreamEquivalence(t *testing.T) {
 			for _, c := range cells {
 				st := c.e.Stats().Maintenance
 				if st.PatchesApplied != steps {
-					t.Errorf("cell rw=%v batch=%v: patchesApplied = %d, want %d", c.opts.DisableRewrites, c.opts.DisableBatch, st.PatchesApplied, steps)
+					t.Errorf("cell rw=%v: patchesApplied = %d, want %d", c.opts.DisableRewrites, st.PatchesApplied, steps)
 				}
 				if st.PlansMaintained == 0 {
-					t.Errorf("cell rw=%v batch=%v: no plans maintained", c.opts.DisableRewrites, c.opts.DisableBatch)
+					t.Errorf("cell rw=%v: no plans maintained", c.opts.DisableRewrites)
 				}
 			}
 			if st := follower.Stats().Maintenance; st.PlansMaintained == 0 {

@@ -104,10 +104,6 @@ type Config struct {
 	// pushdown, projection pruning). Rewrites never change answers, only
 	// compilation cost, so they are on by default.
 	DisableRewrites bool
-	// DisableBatch turns off the vectorized batch engine, restoring the
-	// tuple-at-a-time iterator operators (byte-identical answers, only
-	// slower); a debugging aid.
-	DisableBatch bool
 	// DataDir, when non-empty, makes the catalog durable: every mutation is
 	// appended to a write-ahead log in this directory before it is
 	// acknowledged, compacted snapshots are written every SnapshotEvery
@@ -244,7 +240,6 @@ func Open(cfg Config) (*DB, error) {
 		CacheSize:       cfg.CacheSize,
 		Workers:         cfg.Workers,
 		DisableRewrites: cfg.DisableRewrites,
-		DisableBatch:    cfg.DisableBatch,
 		Obs:             ob,
 	}
 	window := func(cat *catalog.Catalog) *catalog.Catalog {
